@@ -335,6 +335,21 @@ def main() -> int:
                 int(line.rsplit(" ", 1)[1])
             assert render_report(summarize_run(events)), record
 
+    def runtime_policy():
+        from repro.tensor import runtime_policy
+        from repro.tensor.runtime import blas_threads
+
+        policy = runtime_policy()
+        assert blas_threads() == 1, (
+            f"numpy BLAS runs {blas_threads()} threads (policy {policy}); "
+            "bit-identical training needs 1"
+        )
+        if policy["glibc"] is not None:
+            assert policy["malloc"] is not None, (
+                f"glibc {policy['glibc']} rejected the mallopt heap thresholds"
+            )
+
+    check("runtime policy (1 BLAS thread, heap kept mapped)", runtime_policy, results)
     check("autograd gradients", autograd, results)
     check("csr kernel parity", csr_kernel_parity, results)
     check("dataset generators", datasets, results)

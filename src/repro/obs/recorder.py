@@ -25,6 +25,7 @@ import time
 from contextlib import contextmanager
 from typing import Any, Dict, Iterator, List, Optional, Union
 
+from ..tensor.runtime import runtime_policy
 from ..utils.timing import Stopwatch
 from .events import config_hash, jsonable, make_event
 from .profiler import OpProfiler
@@ -213,8 +214,13 @@ class RunRecorder(NullRecorder):
         dataset: Optional[str] = None,
         **payload: Any,
     ) -> None:
-        """Record run provenance: config (+hash), RNG seed, dataset."""
-        fields: Dict[str, Any] = {"run_id": self.run_id}
+        """Record run provenance: config (+hash), RNG seed, dataset.
+
+        Every record also carries ``runtime``: the process policy of
+        :func:`repro.tensor.runtime.runtime_policy` (BLAS threads, malloc
+        thresholds), so a parity mismatch can be traced to its host.
+        """
+        fields: Dict[str, Any] = {"run_id": self.run_id, "runtime": runtime_policy()}
         if config is not None:
             fields["config"] = jsonable(config)
             fields["config_hash"] = config_hash(config)

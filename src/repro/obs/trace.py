@@ -100,9 +100,17 @@ def chrome_trace(events: Sequence[Dict[str, Any]], source: str = "") -> Dict[str
          "args": {"name": run_id}}
     )
 
-    phase_bounds: List[Tuple[float, float, str]] = []  # (start, end, phase)
+    # (index, start, end, phase) of every phase_end.  A phase's spans are
+    # emitted before its phase_end, so a span's enclosing phase is the first
+    # phase_end after it with the span's root name.
+    phase_bounds: List[Tuple[int, float, float, str]] = [
+        (i, rel(e.get("ts", base_ts)) - float(e.get("seconds", 0.0)),
+         rel(e.get("ts", base_ts)), str(e.get("phase", "?")))
+        for i, e in enumerate(events)
+        if e.get("event") == "phase_end"
+    ]
     counter_seq = 0
-    for event in events:
+    for index, event in enumerate(events):
         kind = event.get("event")
         ts = float(event.get("ts", base_ts))
         if kind == "run_start":
@@ -117,7 +125,8 @@ def chrome_trace(events: Sequence[Dict[str, Any]], source: str = "") -> Dict[str
                     "ts": _us(rel(ts)),
                     "args": {
                         k: event[k]
-                        for k in ("run_id", "dataset", "seed", "config_hash", "backbone")
+                        for k in ("run_id", "dataset", "seed", "config_hash",
+                                  "backbone", "runtime")
                         if k in event
                     },
                 }
@@ -125,7 +134,6 @@ def chrome_trace(events: Sequence[Dict[str, Any]], source: str = "") -> Dict[str
         elif kind == "phase_end":
             seconds = float(event.get("seconds", 0.0))
             start = rel(ts) - seconds
-            phase_bounds.append((start, rel(ts), str(event.get("phase", "?"))))
             trace_events.append(
                 {
                     "name": str(event.get("phase", "?")),
@@ -134,7 +142,7 @@ def chrome_trace(events: Sequence[Dict[str, Any]], source: str = "") -> Dict[str
                     "pid": _PID,
                     "tid": _TID_TIMELINE,
                     "ts": _us(max(0.0, start)),
-                    "dur": _us(seconds),
+                    "dur": _us(rel(ts)) - _us(max(0.0, start)),
                     "args": {"seconds": seconds},
                 }
             )
@@ -144,14 +152,12 @@ def chrome_trace(events: Sequence[Dict[str, Any]], source: str = "") -> Dict[str
             end = rel(ts)
             start = end - seconds
             # Clamp into the enclosing phase (clock-drift guard; see module
-            # docstring).  The phase's own X event is emitted at phase_end,
-            # *after* its spans, so bounds seen so far belong to earlier
-            # phases — match by path prefix instead of time order.
+            # docstring).
             root = path.split("/", 1)[0]
-            for p_start, p_end, p_name in phase_bounds:
-                if p_name == root:
-                    start = max(start, p_start)
-                    end = min(end, p_end)
+            for p_index, p_start, p_end, p_name in phase_bounds:
+                if p_index > index and p_name == root:
+                    start = min(max(start, p_start), p_end)
+                    end = max(min(end, p_end), start)
                     break
             trace_events.append(
                 {
@@ -161,7 +167,7 @@ def chrome_trace(events: Sequence[Dict[str, Any]], source: str = "") -> Dict[str
                     "pid": _PID,
                     "tid": _TID_TIMELINE,
                     "ts": _us(max(0.0, start)),
-                    "dur": _us(max(0.0, end - start)),
+                    "dur": max(0, _us(end) - _us(max(0.0, start))),
                     "args": {"path": path, "depth": int(event.get("depth", 1))},
                 }
             )

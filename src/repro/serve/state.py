@@ -39,23 +39,31 @@ from .store import ExplanationStore
 
 __all__ = ["ServeError", "ServingState", "load_serving_state", "dataset_key_for"]
 
-# Graph.name as stamped by the dataset generators -> repro.datasets registry key.
-_NAME_TO_DATASET = {
-    "cora-like": "cora",
-    "citeseer-like": "citeseer",
-    "polblogs-like": "polblogs",
-    "cs-like": "cs",
-}
-
 
 class ServeError(RuntimeError):
     """A snapshot cannot be served (wrong phase, unknown dataset, ...)."""
 
 
+def _canonical(name: str) -> str:
+    """``"Cora-like"``, ``"BAShapes"``, ``"ba_shapes"`` -> ``"cora"``, ``"bashapes"``."""
+    name = name.strip().lower().removesuffix("-like")
+    return "".join(ch for ch in name if ch.isalnum())
+
+
 def dataset_key_for(graph_name: str) -> str:
-    """Map a snapshot manifest's graph name back to a registry dataset key."""
-    key = graph_name.strip().lower()
-    return _NAME_TO_DATASET.get(key, key.replace("-", "_").replace(" ", "_"))
+    """Map a snapshot manifest's graph name back to a registry dataset key.
+
+    Names match case- and punctuation-insensitively (``"BAShapes"`` is
+    ``ba_shapes``, ``"Cora-like"`` is ``cora``); an unknown name comes back
+    lower-cased with ``_`` separators so the registry error names it.
+    """
+    from ..datasets.registry import dataset_names
+
+    wanted = _canonical(graph_name)
+    for key in dataset_names():
+        if _canonical(key) == wanted:
+            return key
+    return graph_name.strip().lower().replace("-", "_").replace(" ", "_")
 
 
 @dataclass

@@ -12,6 +12,8 @@ This subpackage replaces PyTorch for the SES reproduction.  Public surface:
 * :class:`SGD`, :class:`Adam` — optimisers.
 * :class:`AllocationTracker` — passive byte accounting used by the
   observability layer (:mod:`repro.obs`).
+* :func:`runtime_policy` — the process policy (one BLAS thread, glibc heap
+  kept mapped) that importing this package applies once.
 """
 
 from . import functional
@@ -20,6 +22,7 @@ from .csr import CSRSegmentLayout, cached_layout, clear_layout_cache
 from .init import xavier_uniform, xavier_uniform_shape, zeros_init
 from .module import MLP, Dropout, Linear, Module, Sequential
 from .optim import SGD, Adam, Optimizer
+from .runtime import runtime_policy
 from .scatter import gather_rows, segment_mean, segment_softmax, segment_sum
 from .sparse import spmm
 from .tensor import Tensor, as_tensor, is_grad_enabled, no_grad, ones, unbroadcast, zeros
@@ -53,4 +56,7 @@ __all__ = [
     "SGD",
     "Adam",
     "AllocationTracker",
+    "runtime_policy",
 ]
+
+runtime_policy()

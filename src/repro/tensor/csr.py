@@ -215,8 +215,8 @@ class CSRSegmentLayout:
 
         This is the adjoint of a row gather.  The returned buffer is scratch
         owned by the layout: callers must consume it immediately (e.g. via
-        ``Tensor._accumulate``, which copies or adds synchronously) and never
-        retain a reference across calls.
+        ``Tensor._accumulate(..., scratch=True)``, which copies or adds
+        synchronously) and never retain a reference across calls.
         """
         trailing = values.shape[1:]
         out = self.workspace(("scatter", role, trailing), (self.num_segments, *trailing))

@@ -137,8 +137,10 @@ def where(condition: np.ndarray, a: Tensor, b: Tensor) -> Tensor:
     out_data = np.where(condition, a.data, b.data)
 
     def backward(grad: np.ndarray) -> None:
-        a._accumulate(unbroadcast(np.where(condition, grad, 0.0), a.shape))
-        b._accumulate(unbroadcast(np.where(condition, 0.0, grad), b.shape))
+        if a.requires_grad:
+            a._accumulate(unbroadcast(np.where(condition, grad, 0.0), a.shape))
+        if b.requires_grad:
+            b._accumulate(unbroadcast(np.where(condition, 0.0, grad), b.shape))
 
     return Tensor._make(out_data, (a, b), backward)
 
@@ -150,8 +152,10 @@ def maximum(a: Tensor, b: Tensor) -> Tensor:
     out_data = np.where(choose_a, a.data, b.data)
 
     def backward(grad: np.ndarray) -> None:
-        a._accumulate(unbroadcast(np.where(choose_a, grad, 0.0), a.shape))
-        b._accumulate(unbroadcast(np.where(choose_a, 0.0, grad), b.shape))
+        if a.requires_grad:
+            a._accumulate(unbroadcast(np.where(choose_a, grad, 0.0), a.shape))
+        if b.requires_grad:
+            b._accumulate(unbroadcast(np.where(choose_a, 0.0, grad), b.shape))
 
     return Tensor._make(out_data, (a, b), backward)
 

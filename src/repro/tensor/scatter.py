@@ -85,7 +85,8 @@ def gather_rows(
 
         def backward(grad: np.ndarray) -> None:
             resolved = _resolve_layout(layout, index, n_rows, index.shape[0])
-            x._accumulate(resolved.scatter_add(grad, role="gather_rows"))
+            # The adjoint lands in layout scratch: copy, never borrow it.
+            x._accumulate(resolved.scatter_add(grad, role="gather_rows"), scratch=True)
 
     return Tensor._make(out_data, (x,), backward)
 

@@ -12,6 +12,17 @@ The engine supports full numpy broadcasting.  Gradients flowing into a
 broadcast operand are reduced back to the operand's shape with
 :func:`unbroadcast`, mirroring PyTorch semantics.
 
+Gradient ownership: :meth:`Tensor._accumulate` does not copy.  The first
+gradient a tensor receives is *borrowed* — ``.grad`` references the array
+the backward closure produced, which other tensors may reference too
+(``x + y`` hands the same array to both operands).  A second contribution
+allocates a fresh sum, which the tensor then *owns*; only owned arrays are
+ever updated in place.  Assigning ``.grad`` from outside marks it borrowed.
+The rule for every caller is therefore: never mutate a ``.grad`` you did not
+allocate — copy it first.  Backward closures also skip the adjoint of any
+operand that does not require a gradient.  See docs/PERF.md, "Gradient
+ownership and the allocator policy".
+
 Only the operations needed by the SES stack are implemented, but they cover
 a useful general-purpose subset: arithmetic, matmul, reshaping, reductions,
 indexing, and elementwise math.  Activation functions, losses and the
@@ -91,8 +102,8 @@ class Tensor:
     # __weakref__ lets the observability layer (repro.tensor.alloc) attach
     # weakref finalizers for live-byte accounting without keeping tensors
     # alive or adding any per-instance state.
-    __slots__ = ("data", "grad", "requires_grad", "name", "_backward", "_parents",
-                 "__weakref__")
+    __slots__ = ("data", "_grad", "_grad_owned", "requires_grad", "name",
+                 "_backward", "_parents", "__weakref__")
 
     def __init__(
         self,
@@ -103,11 +114,23 @@ class Tensor:
         if isinstance(data, Tensor):
             data = data.data
         self.data = np.asarray(data, dtype=np.float64)
-        self.grad: Optional[np.ndarray] = None
+        self._grad: Optional[np.ndarray] = None
+        self._grad_owned = False
         self.requires_grad = bool(requires_grad) and _grad_enabled
         self.name = name
         self._backward: Optional[Callable[[np.ndarray], None]] = None
         self._parents: Tuple["Tensor", ...] = ()
+
+    @property
+    def grad(self) -> Optional[np.ndarray]:
+        """Accumulated gradient; may be shared with other tensors (read-only)."""
+        return self._grad
+
+    @grad.setter
+    def grad(self, value: Optional[np.ndarray]) -> None:
+        # An array handed in from outside is never ours to update in place.
+        self._grad = value
+        self._grad_owned = False
 
     # ------------------------------------------------------------------
     # Introspection helpers
@@ -179,14 +202,30 @@ class Tensor:
             out._backward = backward
         return out
 
-    def _accumulate(self, grad: np.ndarray) -> None:
-        """Add ``grad`` into this tensor's gradient buffer."""
+    def _accumulate(self, grad: np.ndarray, scratch: bool = False) -> None:
+        """Add ``grad`` into this tensor's gradient buffer.
+
+        The first contribution is borrowed, not copied; the second allocates
+        a fresh sum that this tensor owns; later ones add into it in place.
+        ``scratch=True`` marks ``grad`` as a reused buffer the caller will
+        overwrite, so it is copied rather than borrowed.
+        """
         if not self.requires_grad:
             return
-        if self.grad is None:
-            self.grad = np.array(grad, dtype=np.float64, copy=True)
+        current = self._grad
+        if current is None:
+            if scratch:
+                self._grad = np.array(grad, dtype=np.float64)
+                self._grad_owned = True
+            else:
+                self._grad = np.asarray(grad, dtype=np.float64)
+                self._grad_owned = False
+        elif self._grad_owned:
+            current += grad
         else:
-            self.grad += grad
+            # asarray: the sum of two 0-d arrays is a numpy scalar.
+            self._grad = np.asarray(current + grad)
+            self._grad_owned = True
 
     def backward(self, grad: Optional[ArrayLike] = None) -> None:
         """Backpropagate from this tensor through the recorded graph.
@@ -204,7 +243,9 @@ class Tensor:
                     f"tensor, got shape {self.shape}"
                 )
             grad = np.ones_like(self.data)
-        grad = np.asarray(grad, dtype=np.float64)
+        else:
+            # The caller keeps its array; the tape must not borrow it.
+            grad = np.array(grad, dtype=np.float64)
         if grad.shape != self.data.shape:
             raise ValueError(
                 f"gradient shape {grad.shape} does not match tensor shape {self.shape}"
@@ -247,12 +288,12 @@ class Tensor:
             # keep .grad alive.
             node._backward(node_grad)
             for parent in node._parents:
-                if parent._backward is not None and parent.grad is not None:
-                    grads[id(parent)] = parent.grad
+                if parent._backward is not None and parent._grad is not None:
+                    grads[id(parent)] = parent._grad
         # Release intermediate gradients: only leaves keep .grad.
         for node in order:
             if node._backward is not None and node is not self:
-                node.grad = None
+                node._grad = None
 
     # ------------------------------------------------------------------
     # Arithmetic
@@ -262,8 +303,10 @@ class Tensor:
         out_data = self.data + other.data
 
         def backward(grad: np.ndarray) -> None:
-            self._accumulate(unbroadcast(grad, self.shape))
-            other._accumulate(unbroadcast(grad, other.shape))
+            if self.requires_grad:
+                self._accumulate(unbroadcast(grad, self.shape))
+            if other.requires_grad:
+                other._accumulate(unbroadcast(grad, other.shape))
 
         return Tensor._make(out_data, (self, other), backward)
 
@@ -287,8 +330,10 @@ class Tensor:
         self_data, other_data = self.data, other.data
 
         def backward(grad: np.ndarray) -> None:
-            self._accumulate(unbroadcast(grad * other_data, self.shape))
-            other._accumulate(unbroadcast(grad * self_data, other.shape))
+            if self.requires_grad:
+                self._accumulate(unbroadcast(grad * other_data, self.shape))
+            if other.requires_grad:
+                other._accumulate(unbroadcast(grad * self_data, other.shape))
 
         return Tensor._make(out_data, (self, other), backward)
 
@@ -300,10 +345,12 @@ class Tensor:
         self_data, other_data = self.data, other.data
 
         def backward(grad: np.ndarray) -> None:
-            self._accumulate(unbroadcast(grad / other_data, self.shape))
-            other._accumulate(
-                unbroadcast(-grad * self_data / (other_data * other_data), other.shape)
-            )
+            if self.requires_grad:
+                self._accumulate(unbroadcast(grad / other_data, self.shape))
+            if other.requires_grad:
+                other._accumulate(
+                    unbroadcast(-grad * self_data / (other_data * other_data), other.shape)
+                )
 
         return Tensor._make(out_data, (self, other), backward)
 

@@ -51,6 +51,45 @@ class TestChromeTrace:
         assert span["ts"] >= phase["ts"]
         assert span["ts"] + span["dur"] <= phase["ts"] + phase["dur"]
 
+    @pytest.mark.parametrize(
+        "phase_start_us, span_start_us, end_us",
+        [(0.4, 0.6, 1.8), (0.5, 1.5, 2.5), (1.5, 2.5, 3.5), (2.5, 2.5, 4.5)],
+    )
+    def test_span_stays_inside_phase_at_half_microsecond_edges(
+        self, phase_start_us, span_start_us, end_us
+    ):
+        # Rounding ts and dur separately could end a span 1 us after its
+        # phase; dur must be the difference of the rounded end points.
+        end = end_us * 1e-6
+        events = [
+            {"event": "run_start", "seq": 0, "ts": 0.0, "run_id": "r"},
+            {"event": "span", "seq": 1, "ts": end, "path": "explainable/epoch0",
+             "depth": 1, "seconds": end - span_start_us * 1e-6},
+            {"event": "phase_end", "seq": 2, "ts": end, "phase": "explainable",
+             "seconds": end - phase_start_us * 1e-6},
+        ]
+        trace = chrome_trace(events)
+        assert validate_trace(trace) == []
+        complete = {e["name"]: e for e in trace["traceEvents"] if e["ph"] == "X"}
+        phase, span = complete["explainable"], complete["epoch0"]
+        assert span["ts"] >= phase["ts"]
+        assert span["ts"] + span["dur"] <= phase["ts"] + phase["dur"]
+
+    def test_span_starting_before_its_phase_is_clamped(self):
+        # Wall-clock ts and perf_counter seconds drift apart: a span may
+        # appear to start before the phase that encloses it.
+        events = [
+            {"event": "run_start", "seq": 0, "ts": 0.0, "run_id": "r"},
+            {"event": "span", "seq": 1, "ts": 0.010, "path": "explainable/epoch0",
+             "depth": 1, "seconds": 0.009},
+            {"event": "phase_end", "seq": 2, "ts": 0.011, "phase": "explainable",
+             "seconds": 0.009},
+        ]
+        complete = {e["name"]: e for e in chrome_trace(events)["traceEvents"]
+                    if e["ph"] == "X"}
+        assert complete["epoch0"]["ts"] == complete["explainable"]["ts"] == 2000
+        assert complete["epoch0"]["dur"] == 8000
+
     def test_epoch_events_become_counter_tracks(self):
         def build(rec):
             rec.run_start()
