@@ -195,6 +195,9 @@ def main() -> int:
             assert resumed.test_accuracy == baseline.test_accuracy, spec
 
     def minibatch_parity():
+        import json
+        from pathlib import Path
+
         from repro.core import SESTrainer, fast_config
         from repro.datasets import load_dataset
         from repro.graph import classification_split
@@ -204,7 +207,10 @@ def main() -> int:
                 load_dataset("cora", scale=0.15, seed=0), seed=0
             )
 
-        config = fast_config("gcn", explainable_epochs=4, predictive_epochs=2, seed=0)
+        # fit() trains one covering batch, so it and fit(batch_size=N) must
+        # agree bit for bit; the committed full-batch record of the same
+        # 8+3-epoch run anchors both (tolerant: it pins one BLAS build).
+        config = fast_config("gcn", explainable_epochs=8, predictive_epochs=3, seed=0)
         full = SESTrainer(graph(), config).fit()
         reference = graph()
         covering = SESTrainer(reference, config).fit(batch_size=reference.num_nodes)
@@ -212,6 +218,21 @@ def main() -> int:
         assert covering.history.phase2_loss == full.history.phase2_loss
         assert np.array_equal(covering.logits, full.logits)
         assert covering.test_accuracy == full.test_accuracy
+        record = (
+            Path(__file__).resolve().parent.parent
+            / "results" / "runs" / "resilience_baseline_cora_small.jsonl"
+        )
+        recorded = {"explainable": [], "predictive": []}
+        for line in record.read_text().splitlines():
+            event = json.loads(line)
+            if event["event"] == "epoch":
+                recorded[event["phase"]].append(event["loss"])
+        np.testing.assert_allclose(
+            covering.history.phase1_loss, recorded["explainable"], rtol=1e-6
+        )
+        np.testing.assert_allclose(
+            covering.history.phase2_loss, recorded["predictive"], rtol=1e-6
+        )
         sampled = SESTrainer(graph(), config).fit(batch_size=64)
         assert np.isfinite(sampled.history.phase1_loss).all()
         assert np.isfinite(sampled.logits).all()

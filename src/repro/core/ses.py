@@ -27,14 +27,13 @@ from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
-import scipy.sparse as sp
 
 from ..graph import (
     AnchorBatchSampler,
     Graph,
-    extract_phase1_batch,
-    extract_phase2_batch,
+    SubgraphBatch,
     khop_edge_index,
+    minibatch,
     negative_edge_index,
     sample_negative_sets,
     scatter_edge_values,
@@ -82,7 +81,7 @@ _EPOCHS_TOTAL = _METRICS.counter(
     "repro_train_epochs_total", "Completed training epochs by phase"
 )
 _BATCHES_TOTAL = _METRICS.counter(
-    "repro_train_batches_total", "Processed minibatches by phase"
+    "repro_train_batches_total", "Processed anchor batches and shards by phase"
 )
 _EPOCH_SECONDS = _METRICS.histogram(
     "repro_epoch_seconds", "Wall-clock seconds per completed training epoch"
@@ -203,11 +202,11 @@ def phase1_batch_loss(
 ) -> Phase1BatchResult:
     """Forward + loss for one phase-1 anchor batch (no backward, no step).
 
-    Shared by :meth:`SESTrainer._explainable_epoch_minibatch` and the
+    Shared by :meth:`SESTrainer._explainable_epoch` and the
     ``repro.parallel`` workers.  The op sequence here is parity-critical:
     it fixes the order of every dropout draw and every floating-point
-    reduction, which is what makes covering-batch runs bit-identical to
-    full-batch ones and parallel runs bit-identical at any worker count.
+    reduction, which is what makes resumed runs bit-identical to
+    uninterrupted ones and parallel runs bit-identical at any worker count.
     """
     labels_local = graph.labels[batch.nodes]
     train_local = graph.train_mask[batch.nodes]
@@ -311,7 +310,7 @@ def phase2_batch_loss(
 
     ``features_data``/``edge_weight_data`` are the *full-graph* masked
     constants (Eq. 10); the batch sees row/column slices of them.  Shared by
-    the minibatch loop and the parallel workers — see
+    the trainer's epoch loop and the parallel workers — see
     :func:`phase1_batch_loss` for why the op order is pinned.
     """
     labels_local = graph.labels[batch.nodes]
@@ -435,9 +434,10 @@ class SESTrainer:
         self._completed: Dict[str, int] = {"explainable": 0, "predictive": 0}
         self._optimizers: Dict[str, Adam] = {}
         # Minibatch mode (docs/PERF.md): a dedicated sampler partitions the
-        # node set into anchor batches; None means full-batch training.  The
-        # batch cache holds extracted subgraphs keyed on anchor content so a
-        # covering batch (batch_size >= N) extracts once, not once per epoch.
+        # node set into anchor batches; None means full-batch training, which
+        # is one covering batch.  The batch cache holds extracted subgraphs
+        # keyed on anchor content, so a covering batch extracts once per
+        # phase, not once per epoch.
         self._sampler: Optional[AnchorBatchSampler] = None
         self._batch_cache: Dict[Tuple, object] = {}
         # Data-parallel mode (docs/PARALLEL.md): a WorkerSupervisor shards
@@ -512,6 +512,8 @@ class SESTrainer:
         self.negative_pairs = negative_edge_index(self._negative_sets)
         # Cached phase-1 subgraphs embed the old negative pairs.
         self._batch_cache.clear()
+        if self._parallel is not None:
+            self._parallel.invalidate_constants()
 
     # ------------------------------------------------------------------
     # Minibatch mode (docs/PERF.md)
@@ -647,42 +649,31 @@ class SESTrainer:
         if self._parallel is not None:
             self._parallel.stop_workers()
 
-    def _phase1_batch(self, anchors: np.ndarray):
-        """Extract (or reuse) the phase-1 subgraph for one anchor batch."""
-        key = ("phase1", anchors.tobytes())
-        batch = self._batch_cache.get(key)
-        if batch is None:
-            if len(self._batch_cache) >= 32:
-                self._batch_cache.clear()
-            batch = extract_phase1_batch(
-                self.graph,
-                anchors,
-                self.khop_edges,
-                self.negative_pairs,
-                hops=self.model.encoder.num_layers,
-            )
-            self._batch_cache[key] = batch
-        return batch
+    def _epoch_batches(self) -> List[np.ndarray]:
+        """This epoch's in-process anchor batches: the sampler's, or else one
+        covering batch (full-batch training), which draws no RNG."""
+        if self._sampler is not None:
+            return self._sampler.epoch_batches()
+        return [np.arange(self.num_nodes, dtype=np.int64)]
 
-    def _phase2_batch(self, anchors: np.ndarray):
-        """Extract (or reuse) the phase-2 subgraph for one anchor batch."""
-        key = ("phase2", anchors.tobytes())
-        batch = self._batch_cache.get(key)
-        if batch is None:
-            if len(self._batch_cache) >= 32:
-                self._batch_cache.clear()
-            if self.config.use_triplet and self.pairs is not None:
-                pooled = pooled_pair_indices(
-                    self.pairs, self.num_nodes, anchors=anchors
-                )
-            else:
-                empty = np.empty(0, dtype=np.int64)
-                pooled = (empty, empty, empty, empty, empty)
-            batch = extract_phase2_batch(
-                self.graph, anchors, pooled, hops=self.model.encoder.num_layers
+    def _batch(self, phase: str, anchors: np.ndarray) -> SubgraphBatch:
+        """Extract (or reuse) the subgraph of one anchor batch for ``phase``."""
+        hops = self.model.encoder.num_layers
+        if phase == "explainable":
+            extract = lambda: minibatch.extract_phase1_batch(  # noqa: E731
+                self.graph, anchors, self.khop_edges, self.negative_pairs, hops=hops
             )
-            self._batch_cache[key] = batch
-        return batch
+        else:
+            extract = lambda: minibatch.extract_phase2_batch(  # noqa: E731
+                self.graph, anchors, self._pooled(anchors), hops=hops
+            )
+        return minibatch.cached_batch(self._batch_cache, phase, anchors, extract)
+
+    def _pooled(self, anchors: np.ndarray) -> tuple:
+        """Global-id pooled pair indices of ``anchors`` (empty without triplets)."""
+        if self.config.use_triplet and self.pairs is not None:
+            return pooled_pair_indices(self.pairs, self.num_nodes, anchors=anchors)
+        return (np.empty(0, dtype=np.int64),) * 5
 
     def _optimizer(self, phase: str) -> Adam:
         """The persistent per-phase optimizer (created on first access).
@@ -739,19 +730,10 @@ class SESTrainer:
             while self._completed["explainable"] < epochs:
                 epoch = self._completed["explainable"]
                 self.faults.check_crash("explainable", epoch)
-                if self._parallel is not None:
-                    body = lambda: self._explainable_epoch_parallel(  # noqa: E731
-                        epoch, epochs, snapshot_set, callback
-                    )
-                elif self._sampler is not None:
-                    body = lambda: self._explainable_epoch_minibatch(  # noqa: E731
-                        epoch, epochs, snapshot_set, callback
-                    )
-                else:
-                    body = lambda: self._explainable_epoch(  # noqa: E731
-                        epoch, epochs, snapshot_set, callback
-                    )
-                status = self._run_epoch_guarded("explainable", epoch, body)
+                status = self._run_epoch_guarded(
+                    "explainable", epoch,
+                    lambda: self._explainable_epoch(epoch, epochs, snapshot_set, callback),
+                )
                 if status == "degrade":
                     break
                 if status == "ok":
@@ -767,294 +749,146 @@ class SESTrainer:
         snapshot_set: set,
         callback: Optional[Callable[[int, float], None]],
     ) -> float:
-        """One explainable-training epoch; returns the epoch loss."""
-        cfg = self.config
-        graph, model = self.graph, self.model
-        optimizer = self._optimizer("explainable")
+        """One explainable-training epoch; returns the epoch loss.
+
+        In process, each anchor batch — the sampler's, or one covering batch
+        without a sampler — runs :func:`phase1_batch_loss`, its backward and
+        its own optimizer step.  ``L_sub`` counts only k-hop edges centred in
+        the batch (each is supervised once per epoch) and edge sensitivity
+        accumulates into global positions.  A covering batch's arrays equal
+        the whole graph's, so full-batch training is that one batch.  On the
+        worker pool (docs/PARALLEL.md) the shards' gradients are reduced in
+        fixed shard order and applied as one step.
+        """
+        cfg, model = self.config, self.model
         if cfg.resample_negatives and epoch > 0:
             self._resample_negatives()
         model.train()
-        optimizer.zero_grad()
         self.monitors.set_context(phase="explainable", epoch=epoch)
+        sensitive = epoch >= epochs // 2
+        # Mask sparsity as counts (feature below/total, structure
+        # below/total), so the epoch figure is exact whatever the batching.
+        counts = [0, 0, 0, 0]
+        masks = None
         with self.recorder.span(f"epoch{epoch}"):
-            with self.recorder.span("forward"):
-                hidden, representation, logits = model.encoder.forward_full(
-                    self.features, self.edge_index, self.num_nodes
+            if self._parallel is None:
+                optimizer = self._optimizer("explainable")
+                batches = self._epoch_batches()
+                losses: List[float] = []
+                for index, anchors in enumerate(batches):
+                    batch = self._batch("explainable", anchors)
+                    optimizer.zero_grad()
+                    with self.recorder.span(f"batch{index}"):
+                        with self.recorder.span("forward"):
+                            result = phase1_batch_loss(model, cfg, self.graph, batch)
+                        with self.recorder.span("backward"):
+                            result.loss.backward()
+                    optimizer.step()
+                    losses.append(result.loss.item())
+                    probe = result.probe
+                    if probe is not None and probe.grad is not None and sensitive:
+                        self._edge_sensitivity[batch.khop_positions] += np.maximum(
+                            -probe.grad, 0.0
+                        )
+                    feature, structure = result.feature_mask.data, result.structure_mask.data
+                    counts[0] += int((feature < 0.5).sum())
+                    counts[1] += feature.size
+                    counts[2] += int((structure < 0.5).sum())
+                    counts[3] += max(structure.size, 1)
+                    if self.monitors:
+                        self.monitors.observe_masks(
+                            "explainable", epoch, feature=feature, structure=structure
+                        )
+                        self.monitors.observe_activations(
+                            "explainable", epoch,
+                            hidden=result.hidden.data, logits=result.logits.data,
+                        )
+                    if epoch in snapshot_set and len(anchors) == self.num_nodes:
+                        # A covering batch scored every node and k-hop edge
+                        # in global order: its own masks are the snapshot.
+                        masks = (feature.copy(), structure.copy())
+                epoch_loss = float(np.mean(losses)) if losses else 0.0
+            else:
+                batches = self._parallel.epoch_shards()
+                outcome = self._run_shards(
+                    "explainable", epoch, batches,
+                    {"negative_pairs": self.negative_pairs},
                 )
-                scorer_input = (
-                    representation
-                    if cfg.structure_scorer_input == "representation"
-                    else hidden
-                )
-                feature_mask = model.mask_generator.feature_mask(hidden)
-                structure_mask = model.mask_generator.structure_mask(
-                    scorer_input, self.khop_edges
-                )
-                negative_mask = model.mask_generator.negative_mask(
-                    scorer_input, self.negative_pairs
-                )
-                plain_xent = F.cross_entropy(
-                    logits, graph.labels, mask=graph.train_mask
-                )
-                sub_loss = subgraph_loss(
-                    structure_mask,
-                    negative_mask,
-                    self.khop_edges,
-                    self.negative_pairs,
-                    labels=graph.labels,
-                    train_mask=graph.train_mask,
-                    target_mode=cfg.subgraph_target,
-                )
-                masked_xent = None
-                probe = None
-                if cfg.use_masked_xent:
-                    masked_features = (
-                        self.features * feature_mask
-                        if cfg.use_feature_mask
-                        else self.features
-                    )
-                    # A zero additive probe exposes the per-edge
-                    # sensitivity of the masked loss
-                    # (probe.grad = dL/dw_e) without changing the
-                    # forward pass; accumulated over the second half
-                    # of training it becomes the sensitivity component
-                    # of E_sub (config.structure_explanation).
-                    probe = Tensor(
-                        np.zeros(self.khop_edges.shape[1]), requires_grad=True
-                    )
-                    masked_logits = model.encoder(
-                        masked_features,
-                        self.khop_edges,
-                        self.num_nodes,
-                        edge_weight=structure_mask + probe,
-                    )
-                    masked_xent = F.cross_entropy(
-                        masked_logits, graph.labels, mask=graph.train_mask
-                    )
-                loss = explainable_training_loss(
-                    plain_xent, masked_xent, sub_loss, cfg.alpha,
-                    sub_loss_weight=cfg.sub_loss_weight,
-                )
-            with self.recorder.span("backward"):
-                loss.backward()
-            optimizer.step()
+                if sensitive:
+                    # Shard order is fixed, so the accumulation order (and
+                    # therefore the floating-point sum) is too.
+                    for positions, grad in outcome.probes:
+                        self._edge_sensitivity[positions] += np.maximum(-grad, 0.0)
+                counts = [
+                    outcome.feat_below, outcome.feat_total,
+                    outcome.struct_below, outcome.struct_total,
+                ]
+                epoch_loss = outcome.loss
         if self.monitors:
             self.monitors.after_backward(
                 "explainable", epoch, self.model.named_parameters()
             )
-            self.monitors.observe_masks(
-                "explainable", epoch,
-                feature=feature_mask.data, structure=structure_mask.data,
-            )
-            self.monitors.observe_activations(
-                "explainable", epoch,
-                hidden=hidden.data, logits=logits.data,
-            )
-        if probe is not None and probe.grad is not None and epoch >= epochs // 2:
-            # Negative gradient: making this edge heavier lowers the
-            # masked classification loss -> the edge is important.
-            self._edge_sensitivity += np.maximum(-probe.grad, 0.0)
-
-        self.history.phase1_loss.append(loss.item())
-        if graph.val_mask is not None and graph.val_mask.any():
-            self.history.phase1_val_accuracy.append(
-                self._evaluate_plain(graph.val_mask)
-            )
+        _BATCHES_TOTAL.inc(len(batches), phase="explainable")
+        self.history.phase1_loss.append(epoch_loss)
+        val_accuracy = None
+        if self.graph.val_mask is not None and self.graph.val_mask.any():
+            val_accuracy = self._evaluate_plain(self.graph.val_mask)
+            self.history.phase1_val_accuracy.append(val_accuracy)
         if self.recorder.enabled:
             self.recorder.epoch(
                 "explainable",
                 epoch,
-                loss.item(),
-                val_accuracy=(
-                    self.history.phase1_val_accuracy[-1]
-                    if self.history.phase1_val_accuracy
-                    else None
-                ),
-                feature_mask_sparsity=float(np.mean(feature_mask.data < 0.5)),
-                structure_mask_sparsity=float(np.mean(structure_mask.data < 0.5)),
+                epoch_loss,
+                val_accuracy=val_accuracy,
+                feature_mask_sparsity=float(counts[0] / max(counts[1], 1)),
+                structure_mask_sparsity=float(counts[2] / max(counts[3], 1)),
+                **self._epoch_layout(batches),
             )
         if epoch in snapshot_set:
+            # Batches and shards see only mask slices, so their snapshots
+            # come from a full eval-mode scoring pass (no RNG draws).
             self.history.mask_snapshots[epoch] = (
-                feature_mask.data.copy(),
-                structure_mask.data.copy(),
+                masks if masks is not None else self._score_masks_eval()
             )
-        if callback is not None:
-            callback(epoch, loss.item())
-        return loss.item()
-
-    def _explainable_epoch_minibatch(
-        self,
-        epoch: int,
-        epochs: int,
-        snapshot_set: set,
-        callback: Optional[Callable[[int, float], None]],
-    ) -> float:
-        """One phase-1 epoch over sampled anchor batches; returns the mean loss.
-
-        Per batch: plain forward on the induced base subgraph, mask scoring
-        over the batch's k-hop and negative pairs, ``L_sub`` restricted to
-        edges *centred* in the batch (each k-hop edge supervised exactly once
-        per epoch), masked forward + xent over the batch's train anchors, and
-        one optimizer step.  Edge sensitivity accumulates into the global
-        positions.  With a covering batch every array equals its full-batch
-        counterpart, so the trajectory is bit-identical (tested).
-        """
-        cfg = self.config
-        graph, model = self.graph, self.model
-        optimizer = self._optimizer("explainable")
-        if cfg.resample_negatives and epoch > 0:
-            self._resample_negatives()
-        model.train()
-        self.monitors.set_context(phase="explainable", epoch=epoch)
-        batches = self._sampler.epoch_batches()
-        losses: List[float] = []
-        # Sparsity telemetry aggregated as counts so the epoch-level numbers
-        # match the full-batch record exactly when one batch covers the graph.
-        feat_below = feat_total = struct_below = struct_total = 0
-        with self.recorder.span(f"epoch{epoch}"):
-            for index, anchors in enumerate(batches):
-                batch = self._phase1_batch(anchors)
-                optimizer.zero_grad()
-                with self.recorder.span(f"batch{index}"):
-                    result = phase1_batch_loss(model, cfg, graph, batch)
-                    result.loss.backward()
-                optimizer.step()
-                loss, probe = result.loss, result.probe
-                feature_mask, structure_mask = result.feature_mask, result.structure_mask
-                losses.append(loss.item())
-                if probe is not None and probe.grad is not None and epoch >= epochs // 2:
-                    self._edge_sensitivity[batch.khop_positions] += np.maximum(
-                        -probe.grad, 0.0
-                    )
-                feat_below += int((feature_mask.data < 0.5).sum())
-                feat_total += feature_mask.data.size
-                struct_below += int((structure_mask.data < 0.5).sum())
-                struct_total += max(structure_mask.data.size, 1)
-                if self.monitors:
-                    self.monitors.observe_masks(
-                        "explainable", epoch,
-                        feature=feature_mask.data, structure=structure_mask.data,
-                    )
-                    self.monitors.observe_activations(
-                        "explainable", epoch,
-                        hidden=result.hidden.data, logits=result.logits.data,
-                    )
-        if self.monitors:
-            self.monitors.after_backward(
-                "explainable", epoch, self.model.named_parameters()
-            )
-        _BATCHES_TOTAL.inc(len(batches), phase="explainable")
-        epoch_loss = float(np.mean(losses)) if losses else 0.0
-        self.history.phase1_loss.append(epoch_loss)
-        if graph.val_mask is not None and graph.val_mask.any():
-            self.history.phase1_val_accuracy.append(
-                self._evaluate_plain(graph.val_mask)
-            )
-        if self.recorder.enabled:
-            self.recorder.epoch(
-                "explainable",
-                epoch,
-                epoch_loss,
-                val_accuracy=(
-                    self.history.phase1_val_accuracy[-1]
-                    if self.history.phase1_val_accuracy
-                    else None
-                ),
-                feature_mask_sparsity=float(feat_below / max(feat_total, 1)),
-                structure_mask_sparsity=float(struct_below / max(struct_total, 1)),
-                num_batches=len(batches),
-                batch_size=self._sampler.batch_size,
-            )
-        if epoch in snapshot_set:
-            # Batches only see mask slices, so snapshots come from a full
-            # eval-mode scoring pass (no RNG draws — parity is unaffected).
-            self.history.mask_snapshots[epoch] = self._score_masks_eval()
         if callback is not None:
             callback(epoch, epoch_loss)
         return epoch_loss
 
-    def _explainable_epoch_parallel(
-        self,
-        epoch: int,
-        epochs: int,
-        snapshot_set: set,
-        callback: Optional[Callable[[int, float], None]],
-    ) -> float:
-        """One phase-1 epoch sharded across the worker pool (docs/PARALLEL.md).
+    def _epoch_layout(self, batches: List[np.ndarray]) -> Dict[str, int]:
+        """Epoch-event fields saying how the epoch was split."""
+        if self._parallel is None:
+            return {
+                "num_batches": len(batches),
+                "batch_size": self.batch_size or self.num_nodes,
+            }
+        return {"num_shards": len(batches), "num_workers": self._parallel.alive_workers}
 
-        Workers compute per-shard losses and gradients under derived dropout
-        streams; the supervisor reduces them in fixed shard order and the
-        trainer applies one aggregated optimizer step per epoch.  The
-        trajectory depends only on the shard structure — never on the worker
-        count, restarts, or degradation.
-        """
-        cfg = self.config
-        graph, model = self.graph, self.model
-        optimizer = self._optimizer("explainable")
-        supervisor = self._parallel
-        if cfg.resample_negatives and epoch > 0:
-            self._resample_negatives()
-            supervisor.invalidate_constants()
-        model.train()
-        self.monitors.set_context(phase="explainable", epoch=epoch)
-        batches = supervisor.epoch_shards()
-        with self.recorder.span(f"epoch{epoch}"):
-            outcome = supervisor.run_epoch(
-                "explainable",
-                epoch,
-                batches,
-                params=[p.data.copy() for p in phase_parameters(model, "explainable")],
-                constants={"negative_pairs": self.negative_pairs},
-            )
-            optimizer.zero_grad()
-            if outcome.num_contributing:
-                for param, grad in zip(
-                    phase_parameters(model, "explainable"), outcome.grads
-                ):
-                    param.grad = grad
-                optimizer.step()
-        if epoch >= epochs // 2:
-            # Shard order is fixed, so the accumulation order (and therefore
-            # the floating-point sum) matches the in-process reference.
-            for positions, grad in outcome.probes:
-                self._edge_sensitivity[positions] += np.maximum(-grad, 0.0)
-        if self.monitors:
-            self.monitors.after_backward(
-                "explainable", epoch, self.model.named_parameters()
-            )
-        _BATCHES_TOTAL.inc(len(batches), phase="explainable")
-        epoch_loss = outcome.loss
-        self.history.phase1_loss.append(epoch_loss)
-        if graph.val_mask is not None and graph.val_mask.any():
-            self.history.phase1_val_accuracy.append(
-                self._evaluate_plain(graph.val_mask)
-            )
-        if self.recorder.enabled:
-            self.recorder.epoch(
-                "explainable",
-                epoch,
-                epoch_loss,
-                val_accuracy=(
-                    self.history.phase1_val_accuracy[-1]
-                    if self.history.phase1_val_accuracy
-                    else None
-                ),
-                feature_mask_sparsity=float(
-                    outcome.feat_below / max(outcome.feat_total, 1)
-                ),
-                structure_mask_sparsity=float(
-                    outcome.struct_below / max(outcome.struct_total, 1)
-                ),
-                num_shards=len(batches),
-                num_workers=supervisor.alive_workers,
-            )
-        if epoch in snapshot_set:
-            # Shards only see mask slices, so snapshots come from a full
-            # eval-mode scoring pass (no RNG draws — parity is unaffected).
-            self.history.mask_snapshots[epoch] = self._score_masks_eval()
-        if callback is not None:
-            callback(epoch, epoch_loss)
-        return epoch_loss
+    def _run_shards(
+        self,
+        phase: str,
+        epoch: int,
+        shards: List[np.ndarray],
+        constants: Dict,
+        extras: Optional[List[tuple]] = None,
+    ):
+        """Run one epoch's shards on the worker pool and apply their reduced
+        gradient as one optimizer step; returns the :class:`EpochOutcome`."""
+        params = phase_parameters(self.model, phase)
+        outcome = self._parallel.run_epoch(
+            phase,
+            epoch,
+            shards,
+            params=[p.data.copy() for p in params],
+            constants=constants,
+            shard_extras=extras,
+        )
+        optimizer = self._optimizer(phase)
+        optimizer.zero_grad()
+        if outcome.num_contributing:
+            for param, grad in zip(params, outcome.grads):
+                param.grad = grad
+            optimizer.step()
+        return outcome
 
     def _score_masks_eval(self) -> Tuple[np.ndarray, np.ndarray]:
         """Full-graph eval-mode mask scoring (no grad, no RNG draws)."""
@@ -1115,6 +949,8 @@ class SESTrainer:
             self.pairs = construct_pairs(
                 weighted, self._negative_sets, self.config.sample_ratio, self.rng
             )
+            # Cached phase-2 subgraphs embed the previous pair sets.
+            self._batch_cache.clear()
         if self.recorder.enabled:
             self.recorder.pairs(
                 num_anchors=len(self.pairs.anchors()),
@@ -1159,13 +995,8 @@ class SESTrainer:
         if self.pairs is None and cfg.use_triplet:
             self.build_pairs()
         features, edge_weight = self._phase2_inputs()
-        # Frozen masks and pairs are constants within the phase, so the
-        # pooled index arrays stay valid across rollbacks and resumes.
-        pooled = (
-            pooled_pair_indices(self.pairs, self.num_nodes)
-            if cfg.use_triplet and self._sampler is None and self._parallel is None
-            else None
-        )
+        features = features.data
+        edge_weight = edge_weight.data if edge_weight is not None else None
         with self.recorder.phase("predictive", self.stopwatch), \
                 self.monitors.watch("predictive"):
             if self.recovery is not None:
@@ -1173,19 +1004,10 @@ class SESTrainer:
             while self._completed["predictive"] < epochs:
                 epoch = self._completed["predictive"]
                 self.faults.check_crash("predictive", epoch)
-                if self._parallel is not None:
-                    body = lambda: self._predictive_epoch_parallel(  # noqa: E731
-                        epoch, features, edge_weight, callback
-                    )
-                elif self._sampler is not None:
-                    body = lambda: self._predictive_epoch_minibatch(  # noqa: E731
-                        epoch, features, edge_weight, callback
-                    )
-                else:
-                    body = lambda: self._predictive_epoch(  # noqa: E731
-                        epoch, features, edge_weight, pooled, callback
-                    )
-                status = self._run_epoch_guarded("predictive", epoch, body)
+                status = self._run_epoch_guarded(
+                    "predictive", epoch,
+                    lambda: self._predictive_epoch(epoch, features, edge_weight, callback),
+                )
                 if status == "degrade":
                     break
                 if status == "ok":
@@ -1198,270 +1020,89 @@ class SESTrainer:
     def _predictive_epoch(
         self,
         epoch: int,
-        features: Tensor,
-        edge_weight: Optional[Tensor],
-        pooled,
+        features: np.ndarray,
+        edge_weight: Optional[np.ndarray],
         callback: Optional[Callable[[int, float], None]],
     ) -> float:
-        """One predictive-learning epoch; returns the epoch loss."""
-        cfg = self.config
-        graph, model = self.graph, self.model
-        optimizer = self._optimizer("predictive")
-        model.train()
-        optimizer.zero_grad()
-        self.monitors.set_context(phase="predictive", epoch=epoch)
-        anchor = positive = negative = None
-        with self.recorder.span(f"epoch{epoch}"):
-            with self.recorder.span("forward"):
-                _, representation, logits = model.encoder.forward_full(
-                    features, self.edge_index, self.num_nodes,
-                    edge_weight=edge_weight,
-                )
-                xent = None
-                if cfg.use_xent_in_phase2:
-                    xent = F.cross_entropy(
-                        logits, graph.labels, mask=graph.train_mask
-                    )
-                triplet = None
-                if pooled is not None and len(pooled[0]) > 0:
-                    anchors, pos_index, pos_segment, neg_index, neg_segment = pooled
-                    num_anchors = len(anchors)
-                    # Eq. 11: the triplet acts on the encoder's output
-                    # representation (128-d in the paper), not on logits.
-                    pool = (
-                        segment_mean
-                        if cfg.triplet_pooling == "mean"
-                        else segment_sum
-                    )
-                    positive = pool(
-                        gather_rows(representation, pos_index),
-                        pos_segment, num_anchors,
-                    )
-                    negative = pool(
-                        gather_rows(representation, neg_index),
-                        neg_segment, num_anchors,
-                    )
-                    anchor = gather_rows(representation, anchors)
-                    triplet = F.triplet_margin_loss(
-                        anchor, positive, negative, margin=cfg.margin
-                    )
-                loss = predictive_learning_loss(triplet, xent, cfg.beta)
-            with self.recorder.span("backward"):
-                loss.backward()
-            optimizer.step()
-        if self.monitors:
-            self.monitors.after_backward(
-                "predictive", epoch, self.model.encoder.named_parameters()
-            )
-            self.monitors.observe_activations(
-                "predictive", epoch,
-                representation=representation.data, logits=logits.data,
-            )
-            if anchor is not None:
-                self.monitors.observe_triplet(
-                    "predictive", epoch,
-                    np.linalg.norm(anchor.data - positive.data, axis=1),
-                    np.linalg.norm(anchor.data - negative.data, axis=1),
-                    cfg.margin,
-                )
+        """One predictive-learning epoch; returns the epoch loss.
 
-        self.history.phase2_loss.append(loss.item())
-        if graph.val_mask is not None and graph.val_mask.any():
-            masked_val = self._evaluate_masked(graph.val_mask)
-            plain_val = self._evaluate_plain(graph.val_mask)
-            self.history.phase2_val_accuracy.append(max(masked_val, plain_val))
-            if cfg.keep_best and max(masked_val, plain_val) > self._best_val:
-                self._best_val = max(masked_val, plain_val)
-                self._best_state = model.state_dict()
-                self._best_readout = (
-                    "masked" if masked_val >= plain_val else "plain"
-                )
-        if self.recorder.enabled:
-            self.recorder.epoch(
-                "predictive",
-                epoch,
-                loss.item(),
-                val_accuracy=(
-                    self.history.phase2_val_accuracy[-1]
-                    if self.history.phase2_val_accuracy
-                    else None
-                ),
-            )
-        if callback is not None:
-            callback(epoch, loss.item())
-        return loss.item()
-
-    def _predictive_epoch_minibatch(
-        self,
-        epoch: int,
-        features: Tensor,
-        edge_weight: Optional[Tensor],
-        callback: Optional[Callable[[int, float], None]],
-    ) -> float:
-        """One phase-2 epoch over sampled anchor batches; returns the mean loss.
-
-        Per batch: forward on the induced base subgraph under the frozen
-        masks (features and edge weights are row/column slices of the
-        full-graph constants), xent over the batch's train anchors, and the
-        triplet loss pooled over the batch anchors' pair sets.  Validation
-        and ``keep_best`` stay full-graph per epoch, exactly as in the
-        full-batch loop.
+        ``features``/``edge_weight`` are the full-graph masked constants of
+        Eq. 10.  In process, each anchor batch (one covering batch without a
+        sampler) runs :func:`phase2_batch_loss` on row/column slices of them,
+        its backward and its own optimizer step; on the worker pool the
+        shards' gradients are reduced and applied as one step.  Validation
+        and ``keep_best`` stay full-graph per epoch.
         """
-        cfg = self.config
-        graph, model = self.graph, self.model
-        optimizer = self._optimizer("predictive")
+        cfg, graph, model = self.config, self.graph, self.model
         model.train()
         self.monitors.set_context(phase="predictive", epoch=epoch)
-        batches = self._sampler.epoch_batches()
-        losses: List[float] = []
         with self.recorder.span(f"epoch{epoch}"):
-            for index, anchors in enumerate(batches):
-                batch = self._phase2_batch(anchors)
-                optimizer.zero_grad()
-                with self.recorder.span(f"batch{index}"):
-                    result = phase2_batch_loss(
-                        model, cfg, graph, batch,
-                        features.data,
-                        edge_weight.data if edge_weight is not None else None,
-                    )
-                    if result.loss is None:
-                        # Nothing to optimise in this batch (no train anchors
-                        # and no pair sets): skip the step rather than feed
-                        # an empty loss to the optimizer.
-                        continue
-                    result.loss.backward()
-                optimizer.step()
-                losses.append(result.loss.item())
-                if self.monitors:
-                    self.monitors.observe_activations(
-                        "predictive", epoch,
-                        representation=result.representation.data,
-                        logits=result.logits.data,
-                    )
-                    if result.anchor is not None:
-                        self.monitors.observe_triplet(
+            if self._parallel is None:
+                optimizer = self._optimizer("predictive")
+                batches = self._epoch_batches()
+                losses: List[float] = []
+                for index, anchors in enumerate(batches):
+                    batch = self._batch("predictive", anchors)
+                    optimizer.zero_grad()
+                    with self.recorder.span(f"batch{index}"):
+                        with self.recorder.span("forward"):
+                            result = phase2_batch_loss(
+                                model, cfg, graph, batch, features, edge_weight
+                            )
+                        if result.loss is None:
+                            # Nothing to optimise in this batch (no train
+                            # anchors and no pair sets): skip the step rather
+                            # than feed an empty loss to the optimizer.
+                            continue
+                        with self.recorder.span("backward"):
+                            result.loss.backward()
+                    optimizer.step()
+                    losses.append(result.loss.item())
+                    if self.monitors:
+                        self.monitors.observe_activations(
                             "predictive", epoch,
-                            np.linalg.norm(
-                                result.anchor.data - result.positive.data, axis=1
-                            ),
-                            np.linalg.norm(
-                                result.anchor.data - result.negative.data, axis=1
-                            ),
-                            cfg.margin,
+                            representation=result.representation.data,
+                            logits=result.logits.data,
                         )
+                        if result.anchor is not None:
+                            anchor = result.anchor.data
+                            self.monitors.observe_triplet(
+                                "predictive", epoch,
+                                np.linalg.norm(anchor - result.positive.data, axis=1),
+                                np.linalg.norm(anchor - result.negative.data, axis=1),
+                                cfg.margin,
+                            )
+                epoch_loss = float(np.mean(losses)) if losses else 0.0
+            else:
+                # Pair sets live with the trainer, so the per-shard pooled
+                # tuples are computed here and shipped with the tasks.
+                batches = self._parallel.epoch_shards()
+                outcome = self._run_shards(
+                    "predictive", epoch, batches,
+                    {"features_data": features, "edge_weight_data": edge_weight},
+                    extras=[self._pooled(anchors) for anchors in batches],
+                )
+                epoch_loss = outcome.loss
         if self.monitors:
             self.monitors.after_backward(
                 "predictive", epoch, self.model.encoder.named_parameters()
             )
         _BATCHES_TOTAL.inc(len(batches), phase="predictive")
-        epoch_loss = float(np.mean(losses)) if losses else 0.0
         self.history.phase2_loss.append(epoch_loss)
+        val_accuracy = None
         if graph.val_mask is not None and graph.val_mask.any():
             masked_val = self._evaluate_masked(graph.val_mask)
             plain_val = self._evaluate_plain(graph.val_mask)
-            self.history.phase2_val_accuracy.append(max(masked_val, plain_val))
-            if cfg.keep_best and max(masked_val, plain_val) > self._best_val:
-                self._best_val = max(masked_val, plain_val)
+            val_accuracy = max(masked_val, plain_val)
+            self.history.phase2_val_accuracy.append(val_accuracy)
+            if cfg.keep_best and val_accuracy > self._best_val:
+                self._best_val = val_accuracy
                 self._best_state = model.state_dict()
-                self._best_readout = (
-                    "masked" if masked_val >= plain_val else "plain"
-                )
+                self._best_readout = "masked" if masked_val >= plain_val else "plain"
         if self.recorder.enabled:
             self.recorder.epoch(
-                "predictive",
-                epoch,
-                epoch_loss,
-                val_accuracy=(
-                    self.history.phase2_val_accuracy[-1]
-                    if self.history.phase2_val_accuracy
-                    else None
-                ),
-                num_batches=len(batches),
-                batch_size=self._sampler.batch_size,
-            )
-        if callback is not None:
-            callback(epoch, epoch_loss)
-        return epoch_loss
-
-    def _predictive_epoch_parallel(
-        self,
-        epoch: int,
-        features: Tensor,
-        edge_weight: Optional[Tensor],
-        callback: Optional[Callable[[int, float], None]],
-    ) -> float:
-        """One phase-2 epoch sharded across the worker pool.
-
-        The frozen-mask constants (full-graph masked features and base-edge
-        weights) ship to workers once per constants version; per-shard pooled
-        pair tuples are computed supervisor-side because the pair sets live
-        with the trainer.
-        """
-        cfg = self.config
-        graph, model = self.graph, self.model
-        optimizer = self._optimizer("predictive")
-        supervisor = self._parallel
-        model.train()
-        self.monitors.set_context(phase="predictive", epoch=epoch)
-        batches = supervisor.epoch_shards()
-        empty = np.empty(0, dtype=np.int64)
-        if cfg.use_triplet and self.pairs is not None:
-            extras = [
-                pooled_pair_indices(self.pairs, self.num_nodes, anchors=anchors)
-                for anchors in batches
-            ]
-        else:
-            extras = [(empty, empty, empty, empty, empty) for _ in batches]
-        with self.recorder.span(f"epoch{epoch}"):
-            outcome = supervisor.run_epoch(
-                "predictive",
-                epoch,
-                batches,
-                params=[p.data.copy() for p in phase_parameters(model, "predictive")],
-                constants={
-                    "features_data": features.data,
-                    "edge_weight_data": (
-                        edge_weight.data if edge_weight is not None else None
-                    ),
-                },
-                shard_extras=extras,
-            )
-            optimizer.zero_grad()
-            if outcome.num_contributing:
-                for param, grad in zip(
-                    phase_parameters(model, "predictive"), outcome.grads
-                ):
-                    param.grad = grad
-                optimizer.step()
-        if self.monitors:
-            self.monitors.after_backward(
-                "predictive", epoch, self.model.encoder.named_parameters()
-            )
-        _BATCHES_TOTAL.inc(len(batches), phase="predictive")
-        epoch_loss = outcome.loss
-        self.history.phase2_loss.append(epoch_loss)
-        if graph.val_mask is not None and graph.val_mask.any():
-            masked_val = self._evaluate_masked(graph.val_mask)
-            plain_val = self._evaluate_plain(graph.val_mask)
-            self.history.phase2_val_accuracy.append(max(masked_val, plain_val))
-            if cfg.keep_best and max(masked_val, plain_val) > self._best_val:
-                self._best_val = max(masked_val, plain_val)
-                self._best_state = model.state_dict()
-                self._best_readout = (
-                    "masked" if masked_val >= plain_val else "plain"
-                )
-        if self.recorder.enabled:
-            self.recorder.epoch(
-                "predictive",
-                epoch,
-                epoch_loss,
-                val_accuracy=(
-                    self.history.phase2_val_accuracy[-1]
-                    if self.history.phase2_val_accuracy
-                    else None
-                ),
-                num_shards=len(batches),
-                num_workers=supervisor.alive_workers,
+                "predictive", epoch, epoch_loss, val_accuracy=val_accuracy,
+                **self._epoch_layout(batches),
             )
         if callback is not None:
             callback(epoch, epoch_loss)
@@ -1710,9 +1351,10 @@ class SESTrainer:
         epochs into ``checkpoint_dir`` (keeping the newest
         ``checkpoint_keep``; ``0`` keeps all).
         ``batch_size=B`` trains both phases over neighbor-sampled anchor
-        minibatches (docs/PERF.md); ``batch_size >= num_nodes`` reproduces
-        the full-batch trajectory bit-for-bit, and resuming a minibatch run
-        restores the sampler's RNG alongside the trainer state.
+        minibatches (docs/PERF.md).  Without it training runs one covering
+        batch per epoch, so ``batch_size >= num_nodes`` is the same run, bit
+        for bit; resuming a minibatch run restores the sampler's RNG
+        alongside the trainer state.
         ``workers=N`` trains both phases data-parallel over ``shards`` fixed
         anchor shards (docs/PARALLEL.md); the trajectory is bit-identical at
         any worker count, and worker processes are shut down when fit

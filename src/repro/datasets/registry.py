@@ -66,8 +66,8 @@ def load_dataset(name: str, seed: int = 0, scale: float = 1.0, **overrides) -> G
 
             default_nodes = inspect.signature(_REAL[key]).parameters["num_nodes"].default
             kwargs["num_nodes"] = max(50, int(default_nodes * scale))
-        return _REAL[key](seed=seed, **kwargs)
-    if key in _SYNTHETIC:
+        graph = _REAL[key](seed=seed, **kwargs)
+    elif key in _SYNTHETIC:
         kwargs = dict(overrides)
         if scale != 1.0:
             if key in ("ba_shapes", "ba_community") and "base_nodes" not in kwargs:
@@ -76,5 +76,10 @@ def load_dataset(name: str, seed: int = 0, scale: float = 1.0, **overrides) -> G
                 kwargs["depth"] = max(4, int(round(8 * scale**0.5)))
             if "num_motifs" not in kwargs:
                 kwargs["num_motifs"] = max(8, int(80 * scale))
-        return _SYNTHETIC[key](seed=seed, **kwargs)
-    raise KeyError(f"unknown dataset {name!r}; available: {dataset_names()}")
+        graph = _SYNTHETIC[key](seed=seed, **kwargs)
+    else:
+        raise KeyError(f"unknown dataset {name!r}; available: {dataset_names()}")
+    # Training snapshots record the scale: it alone fixes a synthetic
+    # graph's size, so serving needs it to rebuild the graph.
+    graph.extra["scale"] = float(scale)
+    return graph

@@ -28,7 +28,7 @@ guaranteed (and tested) for ``batch_size >= num_nodes``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -38,6 +38,11 @@ from ..utils.seed import capture_rng_state, restore_rng_state
 # Sampler streams are derived from (seed, _SAMPLER_STREAM) so they can never
 # collide with the trainer's make_rng(seed) stream.
 _SAMPLER_STREAM = 0x5E5B
+
+# Extracted subgraphs a trainer or shard context keeps.  A full cache is
+# cleared, not evicted: covering batches and fixed shards recur every epoch,
+# while sampled batches almost never repeat.
+_CACHE_ENTRIES = 32
 
 
 class AnchorBatchSampler:
@@ -304,3 +309,22 @@ def extract_phase2_batch(
         edge_positions=edge_positions,
         pooled=local_pooled,
     )
+
+
+def cached_batch(
+    cache: Dict, phase: str, anchors: np.ndarray, extract: Callable[[], SubgraphBatch]
+) -> SubgraphBatch:
+    """The subgraph ``extract()`` builds for ``anchors``, reused from ``cache``.
+
+    Keyed on phase and anchor content, so a batch that recurs every epoch —
+    the covering batch of full-batch training, a fixed parallel shard — is
+    extracted once.  The owner clears ``cache`` whenever the extraction
+    inputs change (resampled negatives, new pair sets, a restored snapshot).
+    """
+    key = (phase, anchors.tobytes())
+    batch = cache.get(key)
+    if batch is None:
+        if len(cache) >= _CACHE_ENTRIES:
+            cache.clear()
+        batch = cache[key] = extract()
+    return batch

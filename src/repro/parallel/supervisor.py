@@ -14,15 +14,16 @@ Architecture (docs/PARALLEL.md):
   (:mod:`repro.parallel.reduce`).  The trainer applies one aggregated
   optimizer step — supervisor-side, so optimizer state never leaves the
   trainer.
-* **Worker failure is a first-class event**: workers heartbeat over a
-  monitored event queue; the liveness watchdog declares a worker dead when
-  its process exits and *hung* when heartbeats stop for longer than
-  ``heartbeat_timeout`` (a hung worker is terminated — it cannot be
-  trusted).  Failed workers restart with exponential backoff under a
-  bounded per-rank budget; a rank that exhausts its budget is dropped and
-  its shards re-dispatch deterministically to the survivors.  Only an empty
-  pool raises :class:`ParallelTrainingError` — the last resort, analogous
-  to ``TrainingDivergedError`` in the recovery policy.
+* **Worker failure is a first-class event**: each worker heartbeats over
+  its own event channel (a one-way pipe per rank, so a worker killed
+  mid-write loses only its own channel); the liveness watchdog declares a
+  worker dead when its process exits and *hung* when heartbeats stop for
+  longer than ``heartbeat_timeout`` (a hung worker is terminated — it
+  cannot be trusted).  Failed workers restart with exponential backoff
+  under a bounded per-rank budget; a rank that exhausts its budget is
+  dropped and its shards re-dispatch deterministically to the survivors.
+  Only an empty pool raises :class:`ParallelTrainingError` — the last
+  resort, analogous to ``TrainingDivergedError`` in the recovery policy.
 
 ``workers=1`` runs the identical shard computations in-process through the
 same :class:`~repro.parallel.worker.ShardContext` code path — it is the
@@ -36,6 +37,7 @@ import multiprocessing
 import time
 from collections import Counter
 from dataclasses import dataclass, field
+from multiprocessing.connection import wait
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -141,10 +143,11 @@ class EpochOutcome:
 class _WorkerHandle:
     """Supervisor-side view of one spawned worker process."""
 
-    def __init__(self, rank: int, process, task_queue) -> None:
+    def __init__(self, rank: int, process, task_queue, events) -> None:
         self.rank = rank
         self.process = process
         self.task_queue = task_queue
+        self.events = events
         self.last_seen = time.monotonic()
         self.constants_version = -1
 
@@ -176,7 +179,6 @@ class WorkerSupervisor:
         self._inline: Optional[ShardContext] = None
         self._inline_version = -1
         self._context = multiprocessing.get_context("spawn")
-        self._event_queue = None
         self._handles: Dict[int, _WorkerHandle] = {}
         self._dead_ranks: set = set()
         self._restarts: Counter = Counter()
@@ -297,20 +299,19 @@ class WorkerSupervisor:
         init = dict(self._init_factory())
         init["fault_specs"] = self._unconsumed_specs()
         task_queue = self._context.Queue()
+        # A fresh channel per spawn: a worker that dies mid-write (kill_worker,
+        # an OOM kill) leaves a half-written frame only in its own pipe.
+        events, writer = self._context.Pipe(duplex=False)
         process = self._context.Process(
             target=worker_main,
-            args=(
-                rank,
-                init,
-                task_queue,
-                self._event_queue,
-                self.config.heartbeat_interval,
-            ),
+            args=(rank, init, task_queue, writer, self.config.heartbeat_interval),
             name=f"repro-parallel-w{rank}",
             daemon=True,
         )
         process.start()
-        handle = _WorkerHandle(rank, process, task_queue)
+        # The worker holds the only write end, so its exit is the channel's EOF.
+        writer.close()
+        handle = _WorkerHandle(rank, process, task_queue, events)
         self._handles[rank] = handle
         _WORKERS_ALIVE.set(len(self._handles))
         return handle
@@ -318,7 +319,6 @@ class WorkerSupervisor:
     def _ensure_started(self) -> None:
         if self._started:
             return
-        self._event_queue = self._context.Queue()
         self._dead_ranks = set()
         self._restarts = Counter()
         for rank in range(self.config.workers):
@@ -344,6 +344,7 @@ class WorkerSupervisor:
         # the feeder thread would block interpreter exit on the buffered data.
         handle.task_queue.cancel_join_thread()
         handle.task_queue.close()
+        handle.events.close()
 
     def _run_epoch_pool(
         self, phase: str, epoch: int, tasks, params, constants
@@ -390,36 +391,34 @@ class WorkerSupervisor:
         self, phase: str, epoch: int, results: Dict[int, Dict], timeout: float
     ) -> None:
         """Consume pending worker events; block at most ``timeout`` once."""
-        import queue as queue_module
-
-        block = True
-        while True:
+        channels = {
+            handle.events: handle
+            for handle in self._handles.values()
+            if not handle.events.closed
+        }
+        for channel in wait(list(channels), timeout):
+            handle = channels[channel]
             try:
-                event = self._event_queue.get(timeout=timeout if block else 0)
-            except queue_module.Empty:
-                return
-            block = False
-            kind = event[0]
-            if kind in ("heartbeat", "hello"):
-                rank = event[1]
-                handle = self._handles.get(rank)
-                if handle is not None:
+                while channel.poll():
+                    event = channel.recv()
                     handle.last_seen = time.monotonic()
-            elif kind == "result":
-                _, rank, result_phase, result_epoch, shard_id, payload = event
-                handle = self._handles.get(rank)
-                if handle is not None:
-                    handle.last_seen = time.monotonic()
-                if result_phase == phase and result_epoch == epoch:
-                    # Duplicates (a slow worker finishing a re-dispatched
-                    # shard) are byte-identical by construction; last write
-                    # wins and the count stays correct.
-                    results[shard_id] = payload
-            elif kind == "error":
-                _, rank, trace = event
-                raise ParallelTrainingError(
-                    f"worker {rank} raised an unrecoverable exception:\n{trace}"
-                )
+                    kind = event[0]
+                    if kind == "result":
+                        _, _, result_phase, result_epoch, shard_id, payload = event
+                        if result_phase == phase and result_epoch == epoch:
+                            # Duplicates (a slow worker finishing a re-dispatched
+                            # shard) are byte-identical by construction; last
+                            # write wins and the count stays correct.
+                            results[shard_id] = payload
+                    elif kind == "error":
+                        raise ParallelTrainingError(
+                            f"worker {event[1]} raised an unrecoverable "
+                            f"exception:\n{event[2]}"
+                        )
+            except (EOFError, OSError):
+                # The worker exited, perhaps mid-frame.  Only its own channel
+                # is lost; the liveness check reports the death.
+                channel.close()
 
     def _on_worker_failure(
         self,
@@ -554,6 +553,5 @@ class WorkerSupervisor:
         self._handles.clear()
         self._dead_ranks = set()
         self._restarts = Counter()
-        self._event_queue = None
         self._started = False
         _WORKERS_ALIVE.set(0)

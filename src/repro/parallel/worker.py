@@ -15,14 +15,16 @@ in-process path at ``workers=1``) computing shard ``s`` of epoch ``e``
 consumes the identical draws — across restarts, re-sharding and worker
 counts (docs/PARALLEL.md).
 
-Protocol (multiprocessing queues, spawn context):
+Protocol (spawn context, one task queue and one event channel per worker):
 
-* task queue (per worker): ``("epoch", phase, epoch, params, version,
-  constants_or_None)``, ``("shard", phase, epoch, shard_id, anchors,
-  pooled_or_None)``, ``("stop",)``.
-* event queue (shared): ``("hello", rank, pid, t)``, ``("heartbeat", rank,
+* task queue (a ``multiprocessing.Queue``): ``("epoch", phase, epoch,
+  params, version, constants_or_None)``, ``("shard", phase, epoch,
+  shard_id, anchors, pooled_or_None)``, ``("stop",)``.
+* event channel (the write end of a one-way ``Pipe``, sent to from the
+  worker's main thread): ``("hello", rank, pid, t)``, ``("heartbeat", rank,
   t)``, ``("result", rank, phase, epoch, shard_id, payload)``, ``("error",
-  rank, traceback_text)``.
+  rank, traceback_text)``.  No channel is shared, so a worker that dies
+  mid-send corrupts nothing another worker writes.
 
 Heartbeats are emitted from the main loop — on idle queue timeouts and at
 task start — so a worker hung inside a task (or by ``hang_worker``) goes
@@ -45,7 +47,7 @@ from ..core.ses import (
     phase2_batch_loss,
     phase_parameters,
 )
-from ..graph.minibatch import extract_phase1_batch, extract_phase2_batch
+from ..graph import minibatch
 from ..resilience.faults import WORKER_KINDS, FaultSpec
 from ..utils import make_rng
 
@@ -126,35 +128,6 @@ class ShardContext:
             param.data = np.array(data, copy=True)
 
     # ------------------------------------------------------------------
-    def _phase1_batch(self, anchors: np.ndarray):
-        key = ("phase1", anchors.tobytes())
-        batch = self._cache.get(key)
-        if batch is None:
-            if len(self._cache) >= 32:
-                self._cache.clear()
-            batch = extract_phase1_batch(
-                self.graph,
-                anchors,
-                self.khop_edges,
-                self.negative_pairs,
-                hops=self.model.encoder.num_layers,
-            )
-            self._cache[key] = batch
-        return batch
-
-    def _phase2_batch(self, anchors: np.ndarray, pooled: tuple):
-        key = ("phase2", anchors.tobytes())
-        batch = self._cache.get(key)
-        if batch is None:
-            if len(self._cache) >= 32:
-                self._cache.clear()
-            batch = extract_phase2_batch(
-                self.graph, anchors, pooled, hops=self.model.encoder.num_layers
-            )
-            self._cache[key] = batch
-        return batch
-
-    # ------------------------------------------------------------------
     def compute(
         self,
         phase: str,
@@ -168,8 +141,14 @@ class ShardContext:
         model.train()
         model.encoder._rng = shard_dropout_rng(self.seed, phase, epoch, shard_id)
         model.zero_grad()
+        hops = model.encoder.num_layers
         if phase == "explainable":
-            batch = self._phase1_batch(anchors)
+            batch = minibatch.cached_batch(
+                self._cache, phase, anchors,
+                lambda: minibatch.extract_phase1_batch(
+                    self.graph, anchors, self.khop_edges, self.negative_pairs, hops=hops
+                ),
+            )
             result = phase1_batch_loss(model, self.config, self.graph, batch)
             result.loss.backward()
             payload = {
@@ -187,7 +166,12 @@ class ShardContext:
                 "struct_total": int(max(result.structure_mask.data.size, 1)),
             }
         elif phase == "predictive":
-            batch = self._phase2_batch(anchors, pooled)
+            batch = minibatch.cached_batch(
+                self._cache, phase, anchors,
+                lambda: minibatch.extract_phase2_batch(
+                    self.graph, anchors, pooled, hops=hops
+                ),
+            )
             result = phase2_batch_loss(
                 model,
                 self.config,
@@ -235,7 +219,7 @@ def worker_main(
     rank: int,
     init: Dict,
     task_queue,
-    event_queue,
+    events,
     heartbeat_interval: float,
 ) -> None:
     """Entry point of one spawned worker process."""
@@ -243,12 +227,12 @@ def worker_main(
         context = ShardContext(init)
         specs: List[FaultSpec] = list(init.get("fault_specs", ()))
         fired: set = set()
-        event_queue.put(("hello", rank, os.getpid(), time.time()))
+        events.send(("hello", rank, os.getpid(), time.time()))
         while True:
             try:
                 message = task_queue.get(timeout=heartbeat_interval)
             except queue_module.Empty:
-                event_queue.put(("heartbeat", rank, time.time()))
+                events.send(("heartbeat", rank, time.time()))
                 continue
             kind = message[0]
             if kind == "stop":
@@ -256,7 +240,7 @@ def worker_main(
             if kind == "epoch":
                 _, phase, epoch, params, version, constants = message
                 context.begin_epoch(phase, epoch, params, version, constants)
-                event_queue.put(("heartbeat", rank, time.time()))
+                events.send(("heartbeat", rank, time.time()))
                 continue
             _, phase, epoch, shard_id, anchors, pooled = message
             fault = _due_fault(specs, fired, phase, epoch, rank)
@@ -268,13 +252,13 @@ def worker_main(
                 # only the supervisor's liveness watchdog can detect it.
                 while True:
                     time.sleep(3600)
-            event_queue.put(("heartbeat", rank, time.time()))
+            events.send(("heartbeat", rank, time.time()))
             payload = context.compute(phase, epoch, shard_id, anchors, pooled)
-            event_queue.put(("result", rank, phase, epoch, shard_id, payload))
+            events.send(("result", rank, phase, epoch, shard_id, payload))
     except KeyboardInterrupt:
         pass
     except Exception:  # noqa: BLE001 - ship the traceback to the supervisor
         try:
-            event_queue.put(("error", rank, traceback.format_exc()))
-        except Exception:  # queue already torn down; nothing left to report
+            events.send(("error", rank, traceback.format_exc()))
+        except Exception:  # channel already torn down; nothing left to report
             pass

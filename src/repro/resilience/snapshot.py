@@ -137,6 +137,7 @@ def capture_training_snapshot(trainer) -> TrainingSnapshot:
             "name": trainer.graph.name,
             "num_nodes": int(trainer.graph.num_nodes),
             "num_features": int(trainer.graph.num_features),
+            "scale": trainer.graph.extra.get("scale"),
         },
         "completed": {k: int(v) for k, v in trainer._completed.items()},
         "rng_state": capture_rng_state(trainer.rng),

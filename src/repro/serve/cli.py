@@ -39,10 +39,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--dataset", default=None,
                         help="registry dataset key (default: derived from the "
                              "snapshot manifest's graph name)")
-    parser.add_argument("--scale", type=float, default=1.0,
-                        help="dataset scale used at training time (only "
-                             "needed for synthetic datasets; real-world "
-                             "graphs rebuild from the manifest node count)")
+    parser.add_argument("--scale", type=float, default=None,
+                        help="dataset scale used at training time (default: "
+                             "the scale the snapshot recorded, else 1.0; "
+                             "real-world graphs rebuild from the manifest "
+                             "node count)")
     parser.add_argument("--cache-size", type=int, default=1024,
                         help="explanation LRU capacity (entries)")
     parser.add_argument("--explain-top-k", type=int, default=16,

@@ -4,8 +4,9 @@
 on disk into everything the HTTP layer needs to answer requests:
 
 * the dataset graph rebuilt deterministically from the snapshot manifest
-  (real-world datasets regenerate from ``num_nodes`` + the config seed, so
-  the loader needs no record of the original ``--scale`` flag);
+  (real-world datasets regenerate from ``num_nodes`` + the config seed,
+  synthetic ones from the ``scale`` the manifest records, so the loader
+  needs no repeat of the original ``--scale`` flag);
 * a :class:`~repro.core.ses.SESTrainer` restored from the snapshot, with the
   tracked best-validation encoder applied — exactly the model an
   uninterrupted ``fit()`` would have returned;
@@ -162,7 +163,7 @@ def _rebuild_graph(
     manifest: Dict[str, Any],
     config: SESConfig,
     dataset: Optional[str],
-    scale: float,
+    scale: Optional[float],
     split_seed: Optional[int],
 ):
     from ..datasets import load_dataset
@@ -171,6 +172,10 @@ def _rebuild_graph(
 
     graph_info = manifest.get("graph", {})
     key = dataset or dataset_key_for(str(graph_info.get("name", "")))
+    if scale is None:
+        # The training scale, as the snapshot recorded it; snapshots that
+        # predate the record fall back to load_dataset's default.
+        scale = float(graph_info.get("scale") or 1.0)
     seed = int(config.seed)
     kwargs: Dict[str, Any] = {}
     if key in real_world_names():
@@ -193,7 +198,7 @@ def _rebuild_graph(
 def load_serving_state(
     source: Union[PathLike, TrainingSnapshot],
     dataset: Optional[str] = None,
-    scale: float = 1.0,
+    scale: Optional[float] = None,
     split_seed: Optional[int] = None,
     cache_size: int = 1024,
     explain_top_k: int = 16,

@@ -7,6 +7,7 @@ against the committed baseline run record.  Small-batch mode is covered by
 smoke tests, crash/resume equivalence, and a degenerate-graph sweep.
 """
 
+import io
 import json
 from pathlib import Path
 
@@ -16,6 +17,7 @@ import pytest
 from repro.core import SESTrainer, fast_config
 from repro.datasets import load_dataset
 from repro.graph import Graph, classification_split
+from repro.obs import RunRecorder
 from repro.resilience import CheckpointError, FaultPlan, SimulatedCrash
 
 REPO = Path(__file__).resolve().parent.parent.parent
@@ -24,6 +26,9 @@ BASELINE_RECORD = REPO / "results" / "runs" / "resilience_baseline_cora_small.js
 EXPLAINABLE_EPOCHS = 8
 PREDICTIVE_EPOCHS = 3
 SMALL_BATCH = 64
+# Mask snapshots at the first and last explainable epochs: a covering batch
+# must record its own training-pass masks, exactly as full-batch does.
+SNAPSHOT_EPOCHS = (0, EXPLAINABLE_EPOCHS - 1)
 
 
 def _graph():
@@ -50,43 +55,65 @@ def _assert_bit_identical(result, reference):
     )
     assert result.test_accuracy == reference.test_accuracy
     assert result.val_accuracy == reference.val_accuracy
+    snapshots = result.history.mask_snapshots
+    assert sorted(snapshots) == sorted(reference.history.mask_snapshots)
+    for epoch, (feature, structure) in snapshots.items():
+        reference_feature, reference_structure = reference.history.mask_snapshots[epoch]
+        np.testing.assert_array_equal(feature, reference_feature)
+        np.testing.assert_array_equal(structure, reference_structure)
 
 
 @pytest.fixture(scope="module")
 def full_batch():
     """The uninterrupted full-batch reference run."""
-    return SESTrainer(_graph(), _config()).fit()
+    return SESTrainer(_graph(), _config()).fit(snapshot_epochs=SNAPSHOT_EPOCHS)
 
 
 @pytest.fixture(scope="module")
 def small_batch():
     """The uninterrupted small-batch (3 batches/epoch) reference run."""
-    return SESTrainer(_graph(), _config()).fit(batch_size=SMALL_BATCH)
+    return SESTrainer(_graph(), _config()).fit(
+        batch_size=SMALL_BATCH, snapshot_epochs=SNAPSHOT_EPOCHS
+    )
 
 
 class TestCoveringBatchParity:
     def test_covering_batch_matches_full_batch(self, full_batch):
         graph = _graph()
-        covering = SESTrainer(graph, _config()).fit(batch_size=graph.num_nodes)
+        covering = SESTrainer(graph, _config()).fit(
+            batch_size=graph.num_nodes, snapshot_epochs=SNAPSHOT_EPOCHS
+        )
         _assert_bit_identical(covering, full_batch)
 
     def test_oversized_batch_matches_full_batch(self, full_batch):
-        covering = SESTrainer(_graph(), _config()).fit(batch_size=10_000)
+        covering = SESTrainer(_graph(), _config()).fit(
+            batch_size=10_000, snapshot_epochs=SNAPSHOT_EPOCHS
+        )
         _assert_bit_identical(covering, full_batch)
 
     def test_covering_batch_matches_committed_record(self):
         """``fit(batch_size=num_nodes)`` reproduces the committed *full-batch*
-        baseline run record (tolerant: the record pins one BLAS build)."""
+        baseline run record (tolerant: the record pins one BLAS build).  The
+        per-epoch mask sparsities are counts over the whole graph, so they
+        must match exactly."""
         graph = _graph()
-        result = SESTrainer(graph, _config()).fit(batch_size=graph.num_nodes)
+        recorder = RunRecorder(run_id="covering", path=io.StringIO())
+        result = SESTrainer(graph, _config(), recorder=recorder).fit(
+            batch_size=graph.num_nodes
+        )
         events = [
             json.loads(line)
             for line in BASELINE_RECORD.read_text().strip().split("\n")
         ]
         recorded = {"explainable": [], "predictive": []}
+        sparsity = []
         for event in events:
             if event["event"] == "epoch":
                 recorded[event["phase"]].append(event["loss"])
+                if event["phase"] == "explainable":
+                    sparsity.append(
+                        (event["feature_mask_sparsity"], event["structure_mask_sparsity"])
+                    )
         assert len(recorded["explainable"]) == EXPLAINABLE_EPOCHS
         assert len(recorded["predictive"]) == PREDICTIVE_EPOCHS
         np.testing.assert_allclose(
@@ -99,6 +126,12 @@ class TestCoveringBatchParity:
         assert result.test_accuracy == pytest.approx(
             run_end["test_accuracy"], abs=1e-9
         )
+        epochs = [e for e in recorder.events if e["event"] == "epoch"]
+        assert [
+            (e["feature_mask_sparsity"], e["structure_mask_sparsity"])
+            for e in epochs
+            if e["phase"] == "explainable"
+        ] == sparsity
 
 
 class TestSmallBatchTraining:
@@ -112,7 +145,9 @@ class TestSmallBatchTraining:
         assert small_batch.test_accuracy > majority
 
     def test_deterministic_given_seed(self, small_batch):
-        repeat = SESTrainer(_graph(), _config()).fit(batch_size=SMALL_BATCH)
+        repeat = SESTrainer(_graph(), _config()).fit(
+            batch_size=SMALL_BATCH, snapshot_epochs=SNAPSHOT_EPOCHS
+        )
         _assert_bit_identical(repeat, small_batch)
 
     def test_batch_size_property(self):
@@ -141,9 +176,14 @@ class TestMinibatchCrashResume:
                 checkpoint_every=1,
                 checkpoint_dir=tmp_path,
                 checkpoint_keep=0,
+                snapshot_epochs=SNAPSHOT_EPOCHS,
             )
         resumed = SESTrainer(_graph(), _config())
-        return resumed.fit(resume_from=tmp_path, batch_size=resume_batch_size)
+        return resumed.fit(
+            resume_from=tmp_path,
+            batch_size=resume_batch_size,
+            snapshot_epochs=SNAPSHOT_EPOCHS,
+        )
 
     def test_kill_mid_phase1(self, small_batch, tmp_path):
         # The resumed trainer is constructed *without* batch_size: the

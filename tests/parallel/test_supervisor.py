@@ -5,10 +5,14 @@ watchdog, restart budgets and degradation paths, asserting both the
 recovery bookkeeping and that recovery never moves the numbers.
 """
 
+import threading
+import time
+
 import numpy as np
 import pytest
 
 from repro.core import SESTrainer, fast_config
+from repro.core.ses import phase_parameters
 from repro.datasets import load_dataset
 from repro.graph import classification_split
 from repro.parallel import ParallelConfig, ParallelTrainingError, WorkerSupervisor
@@ -151,3 +155,48 @@ class TestWorkerErrors:
         )
         supervisor.stop_workers()  # never started: no-op
         supervisor.stop_workers()
+
+
+class TestEventChannels:
+    def test_worker_killed_mid_write_spares_the_other_workers(self):
+        # A worker killed while blocked writing a result larger than the pipe
+        # buffer leaves a half-written frame behind.  That may cost only its
+        # own events: the other worker's result must still arrive.
+        trainer = SESTrainer(_graph(), _config())
+        trainer.configure_parallel(2, shards=2)
+        runner = trainer._parallel
+        params = [p.data.copy() for p in phase_parameters(trainer.model, "explainable")]
+        assert sum(p.nbytes for p in params) > 2 * 65536  # gradients overflow a pipe
+        constants = {"negative_pairs": trainer.negative_pairs}
+        shards = runner.epoch_shards()
+        results = {}
+        try:
+            runner._ensure_started()
+            sent = time.monotonic()
+            for handle in runner._handles.values():
+                runner._send_epoch(handle, "explainable", 0, params, constants)
+            deadline = sent + 120.0
+            while min(h.last_seen for h in runner._handles.values()) <= sent:
+                assert time.monotonic() < deadline, "workers never came up"
+                runner._drain_events("explainable", 0, results, timeout=0.1)
+            victim, survivor = runner._handles[0], runner._handles[1]
+            victim.task_queue.put(("shard", "explainable", 0, 0, shards[0], None))
+            # Nobody reads meanwhile, so the victim computes its shard and
+            # then blocks writing the result into a full pipe.
+            time.sleep(3.0)
+            victim.process.kill()
+            victim.process.join(timeout=10.0)
+            assert not victim.process.is_alive()
+            survivor.task_queue.put(("shard", "explainable", 0, 1, shards[1], None))
+
+            def collect():
+                while 1 not in results:
+                    runner._drain_events("explainable", 0, results, timeout=0.1)
+
+            collector = threading.Thread(target=collect, daemon=True)
+            collector.start()
+            collector.join(timeout=60.0)
+            assert 1 in results, "the surviving worker's result never arrived"
+            assert results[1]["loss"] is not None
+        finally:
+            runner.stop_workers()
